@@ -123,7 +123,10 @@ def _load_sample(path: Path, seed: int) -> PEBSample:
 
 
 def _save_sample(path: Path, sample: PEBSample) -> None:
-    np.savez_compressed(
+    # Uncompressed: the float64 fields barely compress (~10%) and zlib
+    # costs ~50 ms per clip in the parent after the pool returns.
+    # ``np.load`` reads both forms, so older compressed entries still hit.
+    np.savez(
         path, acid=sample.acid, inhibitor=sample.inhibitor,
         label=sample.label, contacts=_contacts_to_array(sample.contacts),
         rigorous_seconds=sample.rigorous_seconds)

@@ -12,7 +12,8 @@ surface, and zero-flux at the resist/substrate interface.
 
 The integrator uses operator splitting where every sub-step is *exact*:
 
-* lateral diffusion  — DCT spectral propagator (:mod:`repro.litho.dct`);
+* lateral diffusion  — DCT spectral propagator, precomputed as dense
+  per-axis matrices (:mod:`repro.litho.dct`);
 * normal diffusion + Robin loss — matrix exponential of the small
   (nz × nz) z-operator, including the affine saturation source term;
 * reactions — closed-form solutions of the catalysis ODE (frozen acid)
@@ -86,33 +87,53 @@ class _ZPropagator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Advance a (nz, ny, nx) field one step along z."""
-        return np.einsum("ij,jyx->iyx", self.step_matrix, u) + self.affine[:, None, None]
+        out = self.step_matrix @ u.reshape(u.shape[0], -1)
+        out += self.affine[:, None]
+        return out.reshape(u.shape)
 
 
 def catalysis_step(inhibitor: np.ndarray, acid: np.ndarray, rate: float, dt: float) -> np.ndarray:
     """Exact catalysis update with acid frozen over the step (Eq. 1)."""
-    return inhibitor * np.exp(-rate * acid * dt)
+    out = np.multiply(acid, -rate)
+    out *= dt
+    np.exp(out, out=out)
+    return np.multiply(inhibitor, out, out=out)
 
 
 def neutralization_step(acid: np.ndarray, base: np.ndarray, rate: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact acid-base neutralization update (reaction part of Eqs. 2-3).
 
     The difference d = [A] - [B] is conserved; the ODE dA/dt = -k A(A-d)
-    has the closed form  A(t) = d / (1 - (B0/A0) exp(-k d t)).
+    has the closed form  A(t) = d / (1 - (B0/A0) exp(-k d t)).  Two
+    masks patch it where it breaks down: ``small`` (|d| ~ 0, use the
+    d -> 0 limit A0 / (1 + k A0 t)) and ``degenerate`` (A0 ~ 0, no acid
+    left).  The update runs in place on fresh buffers and patches a mask
+    only where it is non-empty.
     """
-    diff = acid - base
-    small = np.abs(diff) < 1e-10
+    diff = np.subtract(acid, base)
+    ratio = np.abs(diff)
+    small = ratio < 1e-10
     degenerate = acid < 1e-300
+    any_degenerate = degenerate.any()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(degenerate, 0.0, base / np.where(degenerate, 1.0, acid))
-        decay = np.exp(np.clip(-rate * diff * dt, -700.0, 700.0))
-        general = diff / (1.0 - ratio * decay)
-        limit = acid / (1.0 + rate * acid * dt)
-    acid_new = np.where(small, limit, general)
-    acid_new = np.where(degenerate, 0.0, acid_new)
-    acid_new = np.clip(acid_new, 0.0, None)
-    base_new = np.clip(acid_new - diff, 0.0, None)
-    return acid_new, base_new
+        np.divide(base, acid, out=ratio)
+        if any_degenerate:
+            ratio[degenerate] = 0.0
+        acid_new = np.multiply(diff, -rate)
+        acid_new *= dt
+        np.clip(acid_new, -700.0, 700.0, out=acid_new)
+        np.exp(acid_new, out=acid_new)
+        acid_new *= ratio
+        np.subtract(1.0, acid_new, out=acid_new)
+        np.divide(diff, acid_new, out=acid_new)
+        if small.any():
+            acid_small = acid[small]
+            acid_new[small] = acid_small / (1.0 + rate * acid_small * dt)
+    if any_degenerate:
+        acid_new[degenerate] = 0.0
+    np.clip(acid_new, 0.0, None, out=acid_new)
+    base_new = np.subtract(acid_new, diff, out=diff)
+    return acid_new, np.clip(base_new, 0.0, None, out=base_new)
 
 
 class RigorousPEBSolver:

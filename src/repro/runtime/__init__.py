@@ -7,7 +7,10 @@ reproduction runs on a given machine without changing any numerics:
   embarrassingly parallel stages (rigorous dataset generation), with a
   deterministic serial fallback;
 * :mod:`repro.runtime.fft` — the thread count handed to ``scipy.fft``
-  (DCT diffusion propagator, S4D global convolution);
+  (S4D global convolution);
+* :mod:`repro.runtime.blas` — best-effort OpenBLAS thread pinning (the
+  diffusion propagators are BLAS matrix products); pool workers use it
+  to run single-threaded;
 * :mod:`repro.runtime.cache` — LRU caches for the PEB propagators,
   whose construction is dominated by ``expm`` / eigenvalue setup and is
   repeated verbatim across solver instances, benches and pool workers;
@@ -23,6 +26,7 @@ generation) and ``REPRO_FFT_WORKERS`` (scipy.fft thread count); see
 
 from .pool import resolve_workers, fork_available, parallel_map
 from .fft import fft_workers, set_fft_workers
+from .blas import set_blas_threads, blas_threads
 from .cache import (
     cached_lateral_propagator, cached_z_propagator,
     clear_propagator_caches, propagator_cache_info,
@@ -36,7 +40,7 @@ from .sync import (
 
 __all__ = [
     "resolve_workers", "fork_available", "parallel_map",
-    "fft_workers", "set_fft_workers",
+    "fft_workers", "set_fft_workers", "set_blas_threads", "blas_threads",
     "cached_lateral_propagator", "cached_z_propagator",
     "clear_propagator_caches", "propagator_cache_info",
     "make_lock", "make_rlock", "make_condition", "sanitize_locks",

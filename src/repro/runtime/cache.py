@@ -1,8 +1,8 @@
 """LRU caches for the rigorous solver's propagator operators.
 
-Building a :class:`~repro.litho.dct.LateralDiffusionPropagator` costs an
-eigenvalue grid; building a ``_ZPropagator`` costs an ``expm`` and a
-linear solve.  Every :class:`~repro.litho.peb.RigorousPEBSolver` with
+Building a :class:`~repro.litho.dct.LateralDiffusionPropagator` costs
+two dense per-axis propagator matrices; building a ``_ZPropagator``
+costs an ``expm`` and a linear solve.  Every :class:`~repro.litho.peb.RigorousPEBSolver` with
 the same (grid, physics, dt) builds the *same* operators, and benches,
 convergence sweeps and pool workers construct solvers in a loop — so
 the operators are memoized here on their full physical key.
@@ -14,7 +14,7 @@ dataclass.
 
 Imports of the litho modules happen inside the builders to keep
 ``repro.runtime`` import-light and cycle-free (litho itself imports
-:mod:`repro.runtime.fft`).
+this module).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Thread-count policy for ``scipy.fft`` calls on the hot paths.
 
 scipy's pocketfft backend threads over the *batch* axes of a transform
-when passed ``workers=``; the DCT diffusion propagator (nz transforms
-per step) and the S4D global convolution (B*C transforms) both batch
-enough to benefit.  The count resolves as: explicit
+when passed ``workers=``; the S4D global convolution (B*C transforms)
+batches enough to benefit and is the only caller.  The PEB diffusion
+propagators are BLAS matrix products; :mod:`repro.runtime.blas`
+controls their threads.  The count resolves as: explicit
 :func:`set_fft_workers` override > ``REPRO_FFT_WORKERS`` > all cores.
 Pool workers pin it to 1 (see :mod:`repro.runtime.pool`) so process- and
 thread-level parallelism never multiply.

@@ -52,10 +52,13 @@ def fork_available() -> bool:
 
 def _limit_worker_threads() -> None:
     """Pool-worker initializer: each process runs its tasks single-
-    threaded so N workers never oversubscribe N cores with FFT threads."""
+    threaded so N workers never oversubscribe N cores with FFT or BLAS
+    threads."""
+    from repro.runtime.blas import set_blas_threads
     from repro.runtime.fft import set_fft_workers
 
     set_fft_workers(1)
+    set_blas_threads(1)
 
 
 class _TracedTask:

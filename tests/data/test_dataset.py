@@ -6,6 +6,7 @@ import pytest
 from repro.config import LithoConfig, GridConfig
 from repro.core.label import label_to_inhibitor
 from repro.data import generate_dataset, simulate_clip
+from repro.data import dataset as dataset_module
 
 TINY = LithoConfig(grid=GridConfig(size_um=1.0, nx=16, ny=16, nz=4))
 
@@ -67,6 +68,23 @@ class TestGenerateDataset:
         other = LithoConfig(grid=GridConfig(size_um=1.0, nx=16, ny=16, nz=4))
         generate_dataset(1, other, cache_dir=cache, time_step_s=0.5)
         assert len(list(cache.glob("clip_*.npz"))) == 5
+
+    def test_loads_compressed_entries_of_older_caches(self, tmp_path):
+        """Caches once held ``savez_compressed`` archives; they still load."""
+        sample = simulate_clip(3, TINY, time_step_s=1.0)
+        key = dataset_module._config_key(TINY, 1.0, "strang")
+        np.savez_compressed(
+            tmp_path / f"clip_{key}_3.npz", acid=sample.acid,
+            inhibitor=sample.inhibitor, label=sample.label,
+            contacts=dataset_module._contacts_to_array(sample.contacts),
+            rigorous_seconds=sample.rigorous_seconds)
+        loaded = generate_dataset(1, TINY, base_seed=3, cache_dir=tmp_path,
+                                  time_step_s=1.0, workers=1).samples[0]
+        assert np.array_equal(loaded.acid, sample.acid)
+        assert np.array_equal(loaded.inhibitor, sample.inhibitor)
+        assert np.array_equal(loaded.label, sample.label)
+        assert loaded.contacts == sample.contacts
+        assert loaded.rigorous_seconds == sample.rigorous_seconds
 
 
 class TestSplit:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.config import GridConfig
 from repro.runtime import (
-    cached_lateral_propagator, cached_z_propagator, clear_propagator_caches,
-    fft_workers, parallel_map, propagator_cache_info, resolve_workers,
-    set_fft_workers,
+    blas_threads, cached_lateral_propagator, cached_z_propagator,
+    clear_propagator_caches, fft_workers, parallel_map, propagator_cache_info,
+    resolve_workers, set_blas_threads, set_fft_workers,
 )
 from repro.runtime import pool as pool_module
 
@@ -15,6 +15,10 @@ from repro.runtime import pool as pool_module
 def _double(x):
     """Module-level so it pickles into pool workers."""
     return 2 * x
+
+
+def _blas_threads_seen(_):
+    return blas_threads()
 
 
 class TestResolveWorkers:
@@ -101,6 +105,29 @@ class TestFFTWorkers:
         monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
         set_fft_workers(None)
         assert fft_workers() >= 1
+
+
+class TestBlasThreads:
+    def test_pool_workers_run_blas_single_threaded(self):
+        """N workers x N BLAS threads would oversubscribe N cores."""
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS get/set_num_threads symbol in this process")
+        try:
+            set_blas_threads(2)  # the parent's count must not leak into workers
+            assert blas_threads() == [2] * len(before)
+            seen = parallel_map(_blas_threads_seen, [0, 1], workers=2)
+        finally:
+            set_blas_threads(max(before))
+        assert seen == [[1] * len(before)] * 2
+
+    def test_set_returns_number_of_libraries_pinned(self):
+        before = blas_threads()
+        try:
+            assert set_blas_threads(1) == len(before)
+        finally:
+            if before:
+                set_blas_threads(max(before))
 
 
 class TestPropagatorCache:
