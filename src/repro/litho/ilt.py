@@ -49,7 +49,7 @@ from .exposure import initial_photoacid
 from .mask import Contact, MaskClip, rasterize
 from .optics import (
     _frequency_grids, aerial_image_stack, depth_modulation, depth_positions,
-    pupil_cutoff, source_points,
+    pupil_phases,
 )
 from .profile import contact_cds, development_arrival
 
@@ -69,25 +69,17 @@ __all__ = [
 def _aerial_vjp(pattern: np.ndarray, grad_intensity: np.ndarray,
                 grid: GridConfig, optics) -> np.ndarray:
     """Adjoint of the Abbe sum: d⟨g, I(p)⟩/dp for the (ny, nx) pattern."""
-    fx, fy = _frequency_grids(grid)
-    cutoff = pupil_cutoff(optics)
-    sx, sy = source_points(optics)
     spectrum = np.fft.fft2(pattern)
-    defocus = depth_positions(grid) - optics.focus_offset_nm
-    wavelength = optics.wavelength_nm / optics.resist_index
     factors = depth_modulation(grid, optics)
-    weighted = grad_intensity * factors[:, None, None] * (2.0 / len(sx))
+    weighted = grad_intensity * factors[:, None, None] * (2.0 / optics.source_points)
     grad = np.zeros((grid.ny, grid.nx), dtype=np.float64)
-    for shift_x, shift_y in zip(sx, sy):
-        f_total_sq = (fx + shift_x) ** 2 + (fy + shift_y) ** 2
-        inside = f_total_sq <= cutoff ** 2
+    for inside, phase in pupil_phases(grid, optics):
         filtered = spectrum * inside
-        for k, dz in enumerate(defocus):
-            phase = np.exp(-1j * np.pi * wavelength * dz * f_total_sq)
-            field = np.fft.ifft2(filtered * phase)
-            transfer = inside * phase
-            grad += np.fft.ifft2(
-                np.conj(transfer) * np.fft.fft2(weighted[k] * field)).real
+        field = np.fft.ifft2(filtered * phase, axes=(-2, -1))
+        back = np.fft.ifft2(np.conj(phase) * np.fft.fft2(weighted * field, axes=(-2, -1)),
+                            axes=(-2, -1)).real
+        for layer in back:
+            grad += layer
     return grad
 
 

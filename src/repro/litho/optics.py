@@ -47,6 +47,33 @@ def depth_positions(grid: GridConfig) -> np.ndarray:
     return (np.arange(grid.nz) + 0.5) * grid.dz_nm
 
 
+def pupil_phases(grid: GridConfig, optics: OpticsConfig):
+    """Per source point, yield ``(inside, phase)`` for the Abbe sum.
+
+    ``inside`` is the (ny, nx) mask of frequencies the shifted pupil
+    passes; ``phase`` is the (nz, ny, nx) complex defocus transfer, one
+    layer per depth, zero outside the pupil.  The ``exp`` is evaluated
+    only at the frequencies inside the pupil: everywhere else the
+    spectrum is multiplied by zero anyway.
+    """
+    fx, fy = _frequency_grids(grid)
+    cutoff = pupil_cutoff(optics)
+    sx, sy = source_points(optics)
+    # Defocus distance measured from best focus inside the resist;
+    # wavelength is reduced by the resist index for in-resist propagation.
+    defocus = depth_positions(grid) - optics.focus_offset_nm
+    wavelength = optics.wavelength_nm / optics.resist_index
+    for shift_x, shift_y in zip(sx, sy):
+        f_total_sq = (fx + shift_x) ** 2 + (fy + shift_y) ** 2
+        inside = f_total_sq <= cutoff ** 2
+        cells = np.flatnonzero(inside)
+        f_inside_sq = f_total_sq.reshape(-1)[cells]
+        phase = np.zeros((grid.nz, grid.ny * grid.nx), dtype=np.complex128)
+        for k, dz in enumerate(defocus):
+            phase[k, cells] = np.exp(-1j * np.pi * wavelength * dz * f_inside_sq)
+        yield inside, phase.reshape(grid.nz, grid.ny, grid.nx)
+
+
 def aerial_image_stack(pattern: np.ndarray, grid: GridConfig, optics: OpticsConfig) -> np.ndarray:
     """Compute the (nz, ny, nx) aerial-image intensity inside the resist.
 
@@ -56,25 +83,13 @@ def aerial_image_stack(pattern: np.ndarray, grid: GridConfig, optics: OpticsConf
     """
     if pattern.shape != (grid.ny, grid.nx):
         raise ValueError(f"pattern shape {pattern.shape} does not match grid {(grid.ny, grid.nx)}")
-    fx, fy = _frequency_grids(grid)
-    cutoff = pupil_cutoff(optics)
-    sx, sy = source_points(optics)
     spectrum = np.fft.fft2(pattern)
-    depths = depth_positions(grid)
-    # Defocus distance measured from best focus inside the resist;
-    # wavelength is reduced by the resist index for in-resist propagation.
-    defocus = depths - optics.focus_offset_nm
-    wavelength = optics.wavelength_nm / optics.resist_index
     intensity = np.zeros((grid.nz, grid.ny, grid.nx), dtype=np.float64)
-    for shift_x, shift_y in zip(sx, sy):
-        f_total_sq = (fx + shift_x) ** 2 + (fy + shift_y) ** 2
-        inside = f_total_sq <= cutoff ** 2
+    for inside, phase in pupil_phases(grid, optics):
         filtered = spectrum * inside
-        for k, dz in enumerate(defocus):
-            phase = np.exp(-1j * np.pi * wavelength * dz * f_total_sq)
-            field = np.fft.ifft2(filtered * phase)
-            intensity[k] += np.abs(field) ** 2
-    intensity /= len(sx)
+        field = np.fft.ifft2(filtered * phase, axes=(-2, -1))
+        intensity += np.abs(field) ** 2
+    intensity /= optics.source_points
     factors = depth_modulation(grid, optics)
     return intensity * factors[:, None, None]
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import threading
 import time
@@ -576,14 +577,28 @@ def _job_payload(record) -> dict:
     return payload
 
 
+def _parse_deadline_ms(value) -> float:
+    """A ``deadline_ms`` from the query string or a JSON body, validated.
+
+    Accepts a number or a numeric string; anything else, and any value
+    that is not finite or is negative, is a 400.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise _HTTPError(400, "deadline_ms must be a number")
+    try:
+        deadline_ms = float(value)
+    except (ValueError, OverflowError) as error:
+        raise _HTTPError(400, "deadline_ms must be a number") from error
+    if not math.isfinite(deadline_ms) or deadline_ms < 0:
+        raise _HTTPError(400, "deadline_ms must be finite and non-negative")
+    return deadline_ms
+
+
 def _parse_predict_payload(body: bytes, as_json: bool,
                            query: dict) -> tuple[np.ndarray, float | None]:
     deadline_ms: float | None = None
     if "deadline_ms" in query:
-        try:
-            deadline_ms = float(query["deadline_ms"][0])
-        except ValueError as error:
-            raise _HTTPError(400, "deadline_ms must be a number") from error
+        deadline_ms = _parse_deadline_ms(query["deadline_ms"][0])
     if as_json:
         try:
             payload = json.loads(body)
@@ -592,7 +607,7 @@ def _parse_predict_payload(body: bytes, as_json: bool,
         if not isinstance(payload, dict) or "acid" not in payload:
             raise _HTTPError(400, 'JSON body must be an object with an "acid" array')
         if deadline_ms is None and "deadline_ms" in payload:
-            deadline_ms = float(payload["deadline_ms"])
+            deadline_ms = _parse_deadline_ms(payload["deadline_ms"])
         try:
             acid = np.asarray(payload["acid"], dtype=np.float64)
         except (TypeError, ValueError) as error:

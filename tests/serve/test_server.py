@@ -109,6 +109,40 @@ class TestPredict:
                      headers={"Content-Type": "application/json"})
         assert conn.getresponse().status == 400
 
+    @pytest.mark.parametrize("value", ["abc", None, [1], {"ms": 5}, True, float("nan"),
+                                       float("inf"), -1, -0.5, 10 ** 400],
+                             ids=["text", "null", "list", "object", "bool", "nan", "inf",
+                                  "negative", "negative_fraction", "overflow"])
+    def test_bad_json_deadline_400(self, conn, value):
+        acid = np.random.default_rng(3).random(GRID.shape)
+        conn.request("POST", "/v1/predict",
+                     body=json.dumps({"acid": acid.tolist(), "deadline_ms": value}),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "deadline_ms" in json.loads(response.read())["error"]
+        assert post_npz(conn, acid).status == 200
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf", "-inf", "1e999"])
+    def test_bad_query_deadline_400(self, conn, value):
+        acid = np.random.default_rng(4).random(GRID.shape)
+        response = post_npz(conn, acid, query=f"?deadline_ms={value}")
+        assert response.status == 400
+        assert "deadline_ms" in json.loads(response.read())["error"]
+        assert post_npz(conn, acid).status == 200
+
+    def test_valid_deadline_200(self, conn):
+        acid = np.random.default_rng(5).random(GRID.shape)
+        conn.request("POST", "/v1/predict",
+                     body=json.dumps({"acid": acid.tolist(), "deadline_ms": 30000}),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        response.read()
+        response = post_npz(conn, acid, query="?deadline_ms=30000.5")
+        assert response.status == 200
+        response.read()
+
     def test_unknown_model_404(self, conn):
         response = post_npz(conn, np.ones(GRID.shape), query="?model=nope")
         assert response.status == 404
