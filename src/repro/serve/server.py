@@ -48,6 +48,7 @@ import sys
 import threading
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -504,7 +505,8 @@ class _Handler(BaseHTTPRequestHandler):
                 body = self._read_body()
                 content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
                 as_json = content_type == "application/json"
-                acid, deadline_ms = _parse_predict_payload(body, as_json, query)
+                acid, deadline_ms = _parse_predict_payload(body, as_json, query,
+                                                           served.clip_shape)
                 try:
                     acid = served.validate_input(acid)
                 except ValueError as error:
@@ -594,8 +596,8 @@ def _parse_deadline_ms(value) -> float:
     return deadline_ms
 
 
-def _parse_predict_payload(body: bytes, as_json: bool,
-                           query: dict) -> tuple[np.ndarray, float | None]:
+def _parse_predict_payload(body: bytes, as_json: bool, query: dict,
+                           clip_shape: tuple) -> tuple[np.ndarray, float | None]:
     deadline_ms: float | None = None
     if "deadline_ms" in query:
         deadline_ms = _parse_deadline_ms(query["deadline_ms"][0])
@@ -613,16 +615,50 @@ def _parse_predict_payload(body: bytes, as_json: bool,
         except (TypeError, ValueError) as error:
             raise _HTTPError(400, f'"acid" is not a numeric array: {error}') from error
         return acid, deadline_ms
+    return _read_npz_acid(body, clip_shape), deadline_ms
+
+
+def _read_npz_acid(body: bytes, clip_shape: tuple) -> np.ndarray:
+    """The ``acid`` member of an npz body, vetted from its header first.
+
+    ``max_body_bytes`` caps only the compressed size, and a few KB of
+    deflated zeros can declare gigabytes.  The ``.npy`` header states
+    shape and dtype, so a wrong shape or a non-numeric dtype is refused
+    before any array data is decompressed.
+    """
     try:
-        with np.load(io.BytesIO(body)) as archive:
-            if "acid" not in archive.files:
+        with zipfile.ZipFile(io.BytesIO(body)) as archive:
+            names = archive.namelist()
+            # np.load's lookup order: the bare name, then with ".npy"
+            name = next((n for n in ("acid", "acid.npy") if n in names), None)
+            if name is None:
+                found = [n.removesuffix(".npy") for n in names]
                 raise _HTTPError(400, 'npz payload must contain an "acid" array '
-                                      f"(found {archive.files})")
-            return np.asarray(archive["acid"], dtype=np.float64), deadline_ms
-    except (zipfile.BadZipFile, ValueError, OSError) as error:
-        if isinstance(error, _HTTPError):
-            raise
+                                      f"(found {found})")
+            with archive.open(name) as member:
+                version = np.lib.format.read_magic(member)
+                if version == (1, 0):
+                    header = np.lib.format.read_array_header_1_0(member)
+                elif version == (2, 0):
+                    header = np.lib.format.read_array_header_2_0(member)
+                else:
+                    raise ValueError(f"unsupported .npy format version {version}")
+                shape, _, dtype = header
+                # bool, signed/unsigned int and float: what float64 takes exactly
+                if dtype.kind not in "biuf":
+                    raise _HTTPError(400, f'"acid" has non-numeric dtype {dtype}')
+                if shape not in (clip_shape, (1,) + clip_shape):
+                    raise _HTTPError(
+                        400, f"expected one clip of shape {clip_shape} (nz, ny, nx), "
+                             f"got {shape}")
+                member.seek(0)
+                acid = np.lib.format.read_array(member, allow_pickle=False)
+    except (zipfile.BadZipFile, zlib.error, ValueError, OSError, EOFError,
+            RuntimeError, NotImplementedError) as error:
+        # RuntimeError: an encrypted member; NotImplementedError: an
+        # unsupported compression method
         raise _HTTPError(400, f"body is not a readable npz archive: {error}") from error
+    return np.asarray(acid, dtype=np.float64)
 
 
 class _Server(ThreadingHTTPServer):

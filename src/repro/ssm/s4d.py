@@ -29,21 +29,6 @@ from .hippo import s4d_real_init, dt_init
 from .scan import diagonal_scan
 
 
-@plan.register_kernel("lti_causal_conv")
-def _plan_lti_causal_conv(ctx):
-    """Plan kernel for the Eq. 9 FFT path.  The kernel K̄ is derived
-    from weights only, so the capture-time array is already the served
-    model's kernel; the FFT convolution stays an opaque call."""
-    x = ctx.inp(0)
-    kernel = ctx.params["kernel"]
-    out, _ = ctx.alloc_out()
-
-    def _conv(x=x, kernel=kernel, out=out):
-        np.copyto(out, causal_conv_fft(x, kernel))
-
-    ctx.emit(_conv)
-
-
 def lti_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
     """Materialize the Eq. 9 convolution kernel K̄ of shape (C, L).
 
@@ -54,19 +39,28 @@ def lti_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, length: int)
     return np.einsum("cn,cln->cl", c * b_bar, powers)
 
 
-def causal_conv_fft(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+@plan.register_kernel("lti_causal_conv")
+def causal_conv_fft(x: np.ndarray, kernel: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Causal per-channel convolution of (B, L, C) with kernel (C, L).
 
     Uses scipy's pocketfft so the B*C transform batch threads across
     :func:`repro.runtime.fft.fft_workers` cores; the spectral product is
-    computed in place to avoid a second (B, 2L, C) complex buffer.
+    computed in place to avoid a second (B, 2L, C) complex buffer.  As
+    the forward of the Eq. 9 op, ``kernel`` is derived from weights only,
+    so a compiled plan bakes the capture-time array; with ``out`` the
+    result is copied into it.
     """
     batch, length, channels = x.shape
     size = 2 * length
     workers = fft_workers()
     x_f = spfft.rfft(x, n=size, axis=1, workers=workers)
     x_f *= spfft.rfft(kernel.T[None], n=size, axis=1, workers=workers)
-    return spfft.irfft(x_f, n=size, axis=1, workers=workers)[:, :length]
+    y = spfft.irfft(x_f, n=size, axis=1, workers=workers)[:, :length]
+    if out is None:
+        return y
+    np.copyto(out, y)
+    return out
 
 
 class LTISSM(Module):

@@ -103,13 +103,24 @@ def scan_chunked(a: np.ndarray, b: np.ndarray, chunk: int = DEFAULT_CHUNK) -> np
     return h[:, :length] if pad else h
 
 
-def run_scan(a: np.ndarray, b: np.ndarray, mode: str = "chunked", chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Dispatch to the requested kernel."""
+@plan.register_kernel("diagonal_scan")
+def run_scan(a: np.ndarray, b: np.ndarray, mode: str = "chunked", chunk: int = DEFAULT_CHUNK,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Dispatch to the requested kernel (the forward of :func:`diagonal_scan`).
+
+    With ``out`` the result is copied into it: the chunked loop already
+    runs in place over one scratch buffer of its own.
+    """
     if mode == "sequential":
-        return scan_sequential(a, b)
-    if mode == "chunked":
-        return scan_chunked(a, b, chunk=chunk)
-    raise ValueError(f"unknown scan mode {mode!r}; expected one of {SCAN_MODES}")
+        h = scan_sequential(a, b)
+    elif mode == "chunked":
+        h = scan_chunked(a, b, chunk=chunk)
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}; expected one of {SCAN_MODES}")
+    if out is None:
+        return h
+    np.copyto(out, h)
+    return out
 
 
 def _reverse_scan(a: np.ndarray, grad_h: np.ndarray, mode: str, chunk: int) -> np.ndarray:
@@ -175,17 +186,3 @@ def diagonal_scan(a, b, mode: str = "chunked", chunk: int = DEFAULT_CHUNK) -> Te
                           capture=("diagonal_scan",
                                    {"mode": mode, "chunk": chunk}))
 
-
-@plan.register_kernel("diagonal_scan")
-def _plan_diagonal_scan(ctx):
-    """Plan kernel: the scan stays an opaque call (its chunked loop
-    already runs in-place over one scratch buffer); only the result
-    placement changes, so replays stay bitwise identical."""
-    a, b = ctx.inp(0), ctx.inp(1)
-    mode, chunk = ctx.params["mode"], ctx.params["chunk"]
-    out, _ = ctx.alloc_out()
-
-    def _scan(a=a, b=b, mode=mode, chunk=chunk, out=out):
-        np.copyto(out, run_scan(a, b, mode=mode, chunk=chunk))
-
-    ctx.emit(_scan)

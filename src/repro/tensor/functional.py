@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plan import register_kernel
 from .tensor import Tensor, ensure_tensor
 from . import ops_basic as B
 from . import ops_reduce as R
@@ -15,12 +16,28 @@ def relu(x) -> Tensor:
     return B.maximum(x, 0.0)
 
 
+def _leaky_scale(x: np.ndarray, negative_slope) -> np.ndarray:
+    """1 where ``x >= 0``, else ``negative_slope``."""
+    scale = np.empty_like(x, dtype=np.result_type(1.0, negative_slope))
+    scale.fill(negative_slope)
+    np.copyto(scale, 1.0, where=np.greater_equal(x, 0))
+    return scale
+
+
+@register_kernel("leaky_relu", inplace=(0,))
+def leaky_relu_kernel(x, out=None, *, negative_slope):
+    return np.multiply(x, _leaky_scale(x, negative_slope), out=out)
+
+
 def leaky_relu(x, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU used between the decoder's transposed convolutions."""
     x = ensure_tensor(x)
-    positive = x.data >= 0
-    scale = np.where(positive, 1.0, negative_slope)
-    return Tensor.from_op(x.data * scale, [(x, lambda g: g * scale)],
+    out = leaky_relu_kernel(x.data, negative_slope=negative_slope)
+
+    def vjp(g):
+        return g * _leaky_scale(x.data, negative_slope)
+
+    return Tensor.from_op(out, [(x, vjp)],
                           capture=("leaky_relu",
                                    {"negative_slope": negative_slope}))
 
@@ -38,17 +55,36 @@ def gelu(x) -> Tensor:
     return B.mul(B.mul(x, 0.5), B.add(B.tanh(inner), 1.0))
 
 
+@register_kernel("softplus", inplace=(0,))
+def softplus_kernel(x, out=None):
+    """``max(x, 0) + log1p(exp(-|x|))``; temporaries stay arrays at 0-d."""
+    tail = np.abs(x, out=np.empty_like(x))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    if out is None:
+        out = np.empty_like(tail)
+    np.maximum(x, 0.0, out=out)
+    return np.add(out, tail, out=out)
+
+
 def softplus(x) -> Tensor:
     """Numerically stable softplus, ``log(1 + exp(x))``.
 
     Used by Mamba's Δ parameterisation (Eq. 11 of the paper).
     """
     x = ensure_tensor(x)
-    data = x.data
-    out = np.maximum(data, 0.0) + np.log1p(np.exp(-np.abs(data)))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(data, -60.0, 60.0)))
-    return Tensor.from_op(out, [(x, lambda g: g * sig)],
+
+    def vjp(g):
+        return g * (1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0))))
+
+    return Tensor.from_op(softplus_kernel(x.data), [(x, vjp)],
                           capture=("softplus", {}))
+
+
+@register_kernel("detached_max")
+def detached_max_kernel(x, out=None, *, axis):
+    return np.max(x, axis=axis, keepdims=True, out=out)
 
 
 def detached_max(x, axis: int = -1) -> Tensor:
@@ -61,8 +97,7 @@ def detached_max(x, axis: int = -1) -> Tensor:
     ``None`` contribution is skipped by ``backward``.
     """
     x = ensure_tensor(x)
-    out = x.data.max(axis=axis, keepdims=True)
-    return Tensor.from_op(out, [(x, lambda g: None)],
+    return Tensor.from_op(detached_max_kernel(x.data, axis=axis), [(x, lambda g: None)],
                           capture=("detached_max", {"axis": axis}))
 
 

@@ -15,10 +15,13 @@ Shape conventions follow torch:
 
 from __future__ import annotations
 
+import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
+from .plan import _out_form_is_bitwise, register_kernel
 from .tensor import Tensor, ensure_tensor
 
 
@@ -26,8 +29,13 @@ def _triple(value) -> tuple[int, int, int]:
     if isinstance(value, (tuple, list)):
         if len(value) != 3:
             raise ValueError(f"expected 3 values, got {value!r}")
-        return tuple(int(v) for v in value)
+        return tuple(map(int, value))
     return (int(value),) * 3
+
+
+def _hashable(value):
+    """A conv size argument as a cache key (lists become tuples)."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -54,32 +62,135 @@ def _offset_slices(offset, stride, out_sizes):
     )
 
 
-def conv3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
-    """Raw-numpy grouped 3D cross-correlation.
+class _ConvGeometry(NamedTuple):
+    """Everything about one convolution call that depends only on shapes."""
+
+    out_shape: tuple          # the op's result shape
+    work_shape: tuple         # conv3d accumulator (B, G, O/G, voxels); transposed: scatter buffer
+    grouped: tuple            # the (padded) input viewed as (B, G, C/G, D, H, W)
+    padded: tuple | None      # zero-padded input shape, None without padding
+    interior: tuple | None    # the input's slice inside the padded buffer
+    operand_shape: tuple      # matmul operand: patch (conv3d) / flattened input (transposed)
+    taps: tuple               # per kernel offset: (offset, spatial slice[, patch is a view])
+    crop: tuple | None        # transposed conv: the result's slice of the scatter buffer
+    matmul_out: bool          # np.matmul(..., out=) is bitwise for this geometry
+
+
+def _taps(w_shape, stride, sizes):
+    """Per kernel offset, the offset and the strided slice of the
+    (grouped) spatial volume it touches."""
+    return tuple((offset, (Ellipsis,) + _offset_slices(offset, stride, sizes))
+                 for offset in itertools.product(*(range(k) for k in w_shape[2:])))
+
+
+def _tap_weights(w: np.ndarray, groups: int, swap: bool = False) -> np.ndarray:
+    """Offset-major view of a weight: ``[i, j, k]`` is offset (i, j, k)'s
+    (G, ., .) matrix, its last two axes swapped when ``swap``."""
+    wg = w.reshape(groups, w.shape[0] // groups, *w.shape[1:])
+    return wg.transpose((3, 4, 5, 0, 2, 1) if swap else (3, 4, 5, 0, 1, 2))
+
+
+def _matmul_out_is_bitwise(w_off: np.ndarray, operand_shape, out_shape, dtype) -> bool:
+    operand = np.random.default_rng(0).random(operand_shape).astype(dtype, copy=False)
+    return _out_form_is_bitwise(np.matmul, (w_off, operand), {}, out_shape, dtype)
+
+
+@functools.lru_cache(maxsize=256)
+def _conv3d_geometry(x_shape, w_shape, stride, padding, groups, dtype) -> _ConvGeometry:
+    stride, padding = _triple(stride), _triple(padding)
+    batch, cin = x_shape[:2]
+    cout, cg = w_shape[:2]
+    out_sizes = tuple(
+        _out_size(x_shape[2 + i], w_shape[2 + i], stride[i], padding[i]) for i in range(3)
+    )
+    padded = interior = None
+    if any(padding):
+        padded = (batch, cin) + tuple(n + 2 * p for n, p in zip(x_shape[2:], padding))
+        interior = (slice(None), slice(None)) + tuple(
+            slice(p, p + n) for p, n in zip(padding, x_shape[2:]))
+    operand_shape = (batch, groups, cg, int(np.prod(out_sizes)))
+    # whether each patch reshapes to the matmul operand as a view of a
+    # C-contiguous input (the others are copied into one patch buffer)
+    grouped = np.empty(padded or x_shape, dtype=dtype).reshape(
+        (batch, groups, cin // groups) + (padded or x_shape)[2:])
+    taps = tuple(
+        (offset, index, np.may_share_memory(grouped[index].reshape(operand_shape), grouped))
+        for offset, index in _taps(w_shape, stride, out_sizes))
+    work_shape = (batch, groups, cout // groups, operand_shape[3])
+    w_probe = np.random.default_rng(0).random(w_shape).astype(dtype, copy=False)
+    matmul_out = _matmul_out_is_bitwise(_tap_weights(w_probe, groups)[0, 0, 0],
+                                        operand_shape, work_shape, dtype)
+    return _ConvGeometry((batch, cout) + out_sizes, work_shape, grouped.shape, padded,
+                         interior, operand_shape, taps, None, matmul_out)
+
+
+def conv3d_call(x: np.ndarray, w: np.ndarray, stride, padding, groups: int,
+                out: np.ndarray | None = None):
+    """Bind one grouped 3D cross-correlation; returns ``run() -> out``.
 
     Each kernel offset contributes one batched BLAS matmul over the
     channel axis (``(G, O, C) @ (B, G, C, DHW)``), which is several times
     faster than the equivalent ``einsum`` contraction while keeping the
     per-offset accumulation order — and therefore run-to-run bitwise
-    determinism — unchanged.
+    determinism — unchanged.  Shape-only set-up (slices, padded layout,
+    the matmul ``out=`` probe) is cached per geometry; binding slices the
+    operands once, so a compiled plan binds at compile time and replays
+    ``run`` alone.  ``out`` must be C-contiguous.
     """
-    stride, padding = _triple(stride), _triple(padding)
-    xp = _pad_spatial(x, padding)
-    cout, cg, kd, kh, kw = w.shape
-    out_sizes = tuple(
-        _out_size(x.shape[2 + i], (kd, kh, kw)[i], stride[i], padding[i]) for i in range(3)
-    )
-    xg = _grouped(xp, groups)
-    wg = w.reshape(groups, cout // groups, cg, kd, kh, kw)
-    voxels = int(np.prod(out_sizes))
-    batch = x.shape[0]
-    out = np.zeros((batch, groups, cout // groups, voxels), dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, out_sizes)
-        patch = xg[(slice(None), slice(None), slice(None)) + sl]
-        out += np.matmul(wg[:, :, :, offset[0], offset[1], offset[2]],
-                         patch.reshape(batch, groups, cg, voxels))
-    return out.reshape(batch, cout, *out_sizes)
+    geo = _conv3d_geometry(x.shape, w.shape, _hashable(stride), _hashable(padding),
+                           groups, x.dtype)
+    if geo.padded is None:
+        xp, interior = x, None
+    else:
+        xp = np.zeros(geo.padded, dtype=x.dtype)
+        interior = xp[geo.interior]
+    xg = xp.reshape(geo.grouped)
+    if out is None:
+        out = np.empty(geo.out_shape, dtype=x.dtype)
+    out4 = out.reshape(geo.work_shape)
+    accum = np.empty(geo.work_shape, dtype=x.dtype)
+    w_taps = _tap_weights(w, groups)
+    # the cached view/copy decisions hold for a C-contiguous input; for
+    # any other layout a patch is a view exactly when numpy reshapes it
+    # to one, and otherwise copied on every run, as reshape would
+    contiguous = xg.flags["C_CONTIGUOUS"]
+    taps, patch_buf = [], None
+    for offset, index, is_view in geo.taps:
+        patch = xg[index]
+        flat = None
+        if is_view or not contiguous:
+            flat = patch.reshape(geo.operand_shape)
+            if not contiguous and not np.may_share_memory(flat, xg):
+                flat = None
+        if flat is None and patch_buf is None:
+            patch_buf = np.empty(geo.operand_shape, dtype=x.dtype)
+        taps.append((patch, flat, w_taps[offset]))
+    patch6 = None if patch_buf is None else patch_buf.reshape(patch.shape)
+    matmul_out = geo.matmul_out
+
+    def run() -> np.ndarray:
+        if interior is not None:
+            np.copyto(interior, x)
+        out4.fill(0.0)
+        for patch, flat, w_off in taps:
+            if flat is None:
+                np.copyto(patch6, patch)
+                flat = patch_buf
+            if matmul_out:
+                np.matmul(w_off, flat, out=accum)
+            else:
+                np.copyto(accum, np.matmul(w_off, flat))
+            np.add(out4, accum, out=out4)
+        return out
+
+    return run
+
+
+@register_kernel("conv3d", bind=conv3d_call)
+def conv3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, groups: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Raw-numpy grouped 3D cross-correlation (see :func:`conv3d_call`)."""
+    return conv3d_call(x, w, stride, padding, groups, out)()
 
 
 def conv3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, groups: int) -> np.ndarray:
@@ -122,33 +233,70 @@ def conv3d_grad_weight(gout: np.ndarray, x: np.ndarray, w_shape, stride, padding
     return gw.reshape(w_shape)
 
 
-def conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, output_padding, groups: int) -> np.ndarray:
-    """Raw-numpy grouped transposed 3D convolution (scatter form)."""
-    stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
-    cin, og, kd, kh, kw = w.shape
-    in_sizes = x.shape[2:]
+@functools.lru_cache(maxsize=256)
+def _conv_transpose3d_geometry(x_shape, w_shape, stride, padding, output_padding,
+                               groups, dtype) -> _ConvGeometry:
+    stride, padding = _triple(stride), _triple(padding)
+    output_padding = _triple(output_padding)
+    cin, og = w_shape[:2]
+    batch, in_sizes = x_shape[0], x_shape[2:]
     full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i] for i in range(3)
+        (in_sizes[i] - 1) * stride[i] + w_shape[2 + i] + output_padding[i] for i in range(3)
     )
-    xg = _grouped(x, groups)
-    wg = w.reshape(groups, cin // groups, og, kd, kh, kw)
-    batch = x.shape[0]
-    voxels = int(np.prod(in_sizes))
-    xm = xg.reshape(batch, groups, cin // groups, voxels)
-    full = np.zeros((batch, groups, og) + full_sizes, dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, in_sizes)
-        w_off = np.swapaxes(wg[:, :, :, offset[0], offset[1], offset[2]], -1, -2)
-        contrib = np.matmul(w_off, xm).reshape(batch, groups, og, *in_sizes)
-        full[(slice(None), slice(None), slice(None)) + sl] += contrib
-    pd, ph, pw = padding
-    crop = (
-        slice(pd, full_sizes[0] - pd),
-        slice(ph, full_sizes[1] - ph),
-        slice(pw, full_sizes[2] - pw),
-    )
-    out = full[(slice(None), slice(None), slice(None)) + crop]
-    return out.reshape(x.shape[0], groups * og, *out.shape[3:])
+    grouped = (batch, groups, cin // groups) + in_sizes
+    operand_shape = grouped[:3] + (int(np.prod(in_sizes)),)
+    crop = (slice(None),) * 3 + tuple(slice(p, n - p) for p, n in zip(padding, full_sizes))
+    out_shape = (batch, groups * og) + tuple(n - 2 * p for p, n in zip(padding, full_sizes))
+    w_probe = np.random.default_rng(0).random(w_shape).astype(dtype, copy=False)
+    matmul_out = _matmul_out_is_bitwise(
+        _tap_weights(w_probe, groups, swap=True)[0, 0, 0], operand_shape,
+        (batch, groups, og, operand_shape[3]), dtype)
+    return _ConvGeometry(out_shape, (batch, groups, og) + full_sizes, grouped, None, None,
+                         operand_shape, _taps(w_shape, stride, in_sizes), crop, matmul_out)
+
+
+def conv_transpose3d_call(x: np.ndarray, w: np.ndarray, stride, padding, output_padding,
+                          groups: int, out: np.ndarray | None = None):
+    """Bind one grouped transposed 3D convolution (scatter form); returns
+    ``run()``, which computes it and returns the result.
+
+    Contributions scatter into a full-size work buffer whose padding
+    crop is the result, returned as a strided view of that buffer.
+    ``out``, when given, is the work buffer itself (or, without padding,
+    a C-contiguous array of the result's shape, which is the same
+    memory).
+    """
+    geo = _conv_transpose3d_geometry(x.shape, w.shape, _hashable(stride), _hashable(padding),
+                                     _hashable(output_padding), groups, x.dtype)
+    full = np.empty(geo.work_shape, dtype=x.dtype) if out is None \
+        else out.reshape(geo.work_shape)
+    accum = np.empty(geo.work_shape[:3] + geo.operand_shape[3:], dtype=x.dtype)
+    accum6 = accum.reshape(geo.work_shape[:3] + x.shape[2:])
+    w_taps = _tap_weights(w, groups, swap=True)
+    taps = [(w_taps[offset], full[index]) for offset, index in geo.taps]
+    result = full[geo.crop].reshape(geo.out_shape)
+    matmul_out = geo.matmul_out
+
+    def run() -> np.ndarray:
+        # the flattened input: a view of ``x`` or, like reshape, a copy
+        xm = x.reshape(geo.grouped).reshape(geo.operand_shape)
+        full.fill(0.0)
+        for w_off, target in taps:
+            if matmul_out:
+                np.matmul(w_off, xm, out=accum)
+            else:
+                np.copyto(accum, np.matmul(w_off, xm))
+            np.add(target, accum6, out=target)
+        return result
+
+    return run
+
+
+@register_kernel("conv_transpose3d", bind=conv_transpose3d_call)
+def conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, output_padding,
+                             groups: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw-numpy grouped transposed 3D convolution (see :func:`conv_transpose3d_call`)."""
+    return conv_transpose3d_call(x, w, stride, padding, output_padding, groups, out)()
 
 
 def conv_transpose3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, output_padding, groups: int) -> np.ndarray:

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plan import register_kernel
 from .tensor import Tensor, ensure_tensor
+
+# numpy's reductions are their own kernels (``out=`` and all)
+register_kernel("sum")(np.sum)
+register_kernel("mean")(np.mean)
+register_kernel("max")(np.max)
 
 
 def _expand_like(grad: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
@@ -24,7 +30,7 @@ def _expand_like(grad: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over the given axes."""
     a = ensure_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = np.sum(a.data, axis=axis, keepdims=keepdims)
     return Tensor.from_op(out, [
         (a, lambda g: _expand_like(g, a.shape, axis, keepdims).copy()),
     ], capture=("sum", {"axis": axis, "keepdims": keepdims}))
@@ -33,7 +39,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     """Arithmetic mean over the given axes."""
     a = ensure_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    out = np.mean(a.data, axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else np.prod(
         [a.shape[ax % a.ndim] for ax in ((axis,) if isinstance(axis, int) else axis)]
     )
@@ -49,7 +55,7 @@ def max_(a, axis=None, keepdims: bool = False) -> Tensor:
     true subgradient even on plateaus.
     """
     a = ensure_tensor(a)
-    out = a.data.max(axis=axis, keepdims=keepdims)
+    out = np.max(a.data, axis=axis, keepdims=keepdims)
 
     def vjp(g):
         full = _expand_like(g, a.shape, axis, keepdims)

@@ -21,35 +21,43 @@ compiling one forward into a **plan**:
    steps *fuse* by writing into a dying input's buffer in place.  Pure
    view ops (reshape/transpose/slice/flip) are resolved once at compile
    time into stable numpy views of arena buffers and cost nothing at
-   replay.
+   replay.  Every other step binds to one call of its op's kernel.
 3. **Replay** — :meth:`Plan.run` copies the request batch into the input
-   buffer and executes a flat list of closures over ``out=`` ufunc
-   kernels.  No tensors, no tape, no allocation except the final output
-   copy (which guarantees two consecutive replays never alias each
-   other's results).
+   buffer and executes the flat list of bound kernel calls, each writing
+   its result into the arena through ``out=``.  No tensors, no tape;
+   kernels allocate only their own temporaries, and the final output is
+   copied (so two consecutive replays never alias each other's results).
+
+Kernels
+-------
+Each op has exactly **one forward kernel**, ``kernel(*arrays, out=None,
+**params) -> ndarray``, defined next to its tape op and registered with
+:func:`register_kernel` under the op's capture name.  The tape calls it
+with ``out=None`` (it allocates); a plan calls the same function at
+replay with ``out=`` set to an arena buffer.  The registration declares
+which inputs the kernel may overwrite through ``out`` (in-place fusion),
+whether the op is a view, whether its ``out=`` form goes through BLAS
+and must be probed, and, for the convolutions, the ``bind`` half of the
+kernel, whose set-up the compiler runs once instead of every replay.
 
 Identity contract
 -----------------
-Every kernel replicates the tape op's exact numpy expression — same
-ufuncs, same operand order, same memory layouts — so a replay is
-**bitwise identical** to the tape forward for the same input.  This is
-enforced, not assumed: after compiling, :func:`capture` replays the
-capture input and compares bitwise against the traced output, then runs
-a second, independently generated input through both the plan and the
-tape.  The second input catches data-dependent constants baked into a
-plan by accident (the classic trace-compiler bug); any mismatch raises
+The tape and the plan call the same kernel, so a replay is **bitwise
+identical** to the tape forward for the same input.  Validation still
+checks it: after compiling, :func:`capture` replays the capture input
+and compares bitwise against the traced output, then runs a second,
+independently generated input through both the plan and the tape.  The
+second input catches data-dependent constants baked into a plan by
+accident (the classic trace-compiler bug); any mismatch raises
 :class:`PlanCaptureError` so callers degrade to the tape rather than
 serve wrong answers.
-
-Kernels for ops defined outside ``repro.tensor`` (the SSM scan, the LTI
-FFT convolution) register themselves via :func:`register_kernel`, which
-keeps the dependency arrow pointing the right way.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,28 +81,52 @@ class PlanExecutionError(PlanError):
     """A compiled plan was replayed with incompatible inputs."""
 
 
-#: op name -> builder(ctx); see :func:`register_kernel`
-_KERNELS: dict[str, object] = {}
+class _Kernel(NamedTuple):
+    fn: Callable
+    inplace: tuple[int, ...]
+    view: bool
+    blas: bool
+    bind: Callable | None
 
 
-def register_kernel(name: str):
-    """Decorator registering a plan kernel builder for op ``name``.
+#: op name -> its forward kernel; see :func:`register_kernel`
+_KERNELS: dict[str, _Kernel] = {}
 
-    The builder receives a :class:`_Ctx` and must allocate its output
-    (``ctx.alloc_out`` / ``ctx.out_view``) and emit zero or more replay
-    closures (``ctx.emit``).  Ops outside ``repro.tensor`` (e.g. the SSM
-    scan) use this hook so the tensor package never imports them.
+
+def register_kernel(name: str, inplace: tuple[int, ...] = (), view: bool = False,
+                    blas: bool = False, bind: Callable | None = None):
+    """Decorator registering ``fn`` as the forward kernel of op ``name``.
+
+    ``fn(*arrays, out=None, **params)`` must return its result, writing
+    it into ``out`` when given; ``params`` are the op's capture params.
+
+    * ``inplace`` lists the inputs ``fn`` reads nothing from after its
+      first write to ``out``, so the plan may pass a dying input's buffer
+      as ``out``.
+    * ``view=True`` marks ops whose allocating form normally returns a
+      view of input 0: the compiler calls ``fn`` once at compile time and
+      keeps a view result for free; a copy result (a strided reshape) is
+      replayed through the ``out=`` form instead.  A view kernel with no
+      ``out`` parameter (numpy's own transpose, flip, ...) cannot copy,
+      so a copy result aborts the capture.
+    * ``blas=True`` marks kernels whose ``out=`` form may take a
+      different accumulation path; the compiler probes it once and
+      replays the allocating form plus a copy when it differs.
+    * ``bind`` is for kernels that are ``bind(*arrays, out=, **params)()``
+      — all set-up in ``bind``, the arithmetic in the function it
+      returns (the convolutions, whose per-offset views cost as much as
+      their small matmuls).  The compiler binds once and replays only
+      the returned function.
+
+    Ops outside ``repro.tensor`` (the SSM scan, the LTI FFT convolution)
+    register the same way, so the tensor package never imports them.
     """
 
     def _register(fn):
-        _KERNELS[name] = fn
+        _KERNELS[name] = _Kernel(fn, tuple(inplace), view, blas, bind)
         return fn
 
     return _register
-
-
-def has_kernel(name: str) -> bool:
-    return name in _KERNELS
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +209,11 @@ class _Builder:
         if name not in _KERNELS:
             self.fail(f"no plan kernel registered for op {name!r}")
             return
+        traced = [key for key, value in params.items() if isinstance(value, Tensor)]
+        if traced:
+            self.fail(f"op {name!r}: parameter {traced[0]!r} is a traced tensor "
+                      "(data-dependent); plans only support static parameters")
+            return
         in_slots = [self.slot_for(parent) for parent, _ in parents]
         step_index = len(self.steps)
         out_slot = self._new_slot(out, _STEP, producer=step_index)
@@ -192,7 +229,7 @@ class _Builder:
 
 
 # ----------------------------------------------------------------------
-# Compilation: arena, liveness, kernel builders
+# Compilation: arena, liveness, kernel binding
 # ----------------------------------------------------------------------
 class _Storage:
     __slots__ = ("block", "last", "arena")
@@ -229,116 +266,24 @@ def _layout_permutation(value: np.ndarray):
     return axes
 
 
-class _Ctx:
-    """Per-step interface handed to kernel builders."""
+def _out_form_is_bitwise(fn, operands, params, shape, dtype) -> bool:
+    """Probe whether ``fn(..., out=)`` matches the allocating form bitwise.
 
-    def __init__(self, compiler: "_Compiler", step: _Step):
-        self._compiler = compiler
-        self._step = step
-        self.params = step.params
-        out = compiler.slots[step.out_slot].value
-        self.out_shape = out.shape
-        self.out_dtype = out.dtype
-        self._out_assigned = False
+    numpy's ``out=`` dispatch can take a different accumulation path for
+    some shapes (observed: stacked-gemm ``matmul`` differs by 1 ulp), and
+    which path is taken depends only on shapes/layouts — which the arena
+    buffers replicate — so a single probe decides correctly for every
+    later call with the same geometry.
+    """
+    want = fn(*operands, **params)
+    probe = np.empty(shape, dtype=dtype)
+    fn(*operands, out=probe, **params)
+    return _bitwise_equal(np.asarray(want), probe)
 
-    @property
-    def n_inputs(self) -> int:
-        return len(self._step.in_slots)
 
-    def inp(self, i: int) -> np.ndarray:
-        """The runtime buffer (or baked constant) for input ``i``."""
-        return self._compiler.buffers[self._step.in_slots[i]]
-
-    def cap(self, i: int) -> np.ndarray:
-        """The capture-time value of input ``i`` (for compile-time probes)."""
-        return self._compiler.slots[self._step.in_slots[i]].value
-
-    def is_const(self, i: int) -> bool:
-        return self._compiler.slots[self._step.in_slots[i]].kind == _CONST
-
-    def fail(self, reason: str):
-        raise PlanCaptureError(f"op {self._step.op!r}: {reason}")
-
-    def contiguous_inp(self, i: int) -> np.ndarray:
-        """Input ``i`` as a C-contiguous array, copying via a replay step
-        only when the buffer is dynamic and strided."""
-        arr = self.inp(i)
-        if arr.flags["C_CONTIGUOUS"]:
-            return arr
-        if self.is_const(i):
-            return np.ascontiguousarray(arr)
-        copy = self.scratch(arr.shape, arr.dtype)
-        self.emit(lambda copy=copy, arr=arr: np.copyto(copy, arr))
-        return copy
-
-    def alloc_out(self, inplace: tuple[int, ...] = ()) -> tuple[np.ndarray, int | None]:
-        """Allocate the output buffer, fusing in place onto a dying input
-        when the kernel declared that input alias-safe.  Returns
-        ``(buffer, fused_input_index_or_None)``."""
-        comp, step = self._compiler, self._step
-        shape, dtype = self.out_shape, self.out_dtype
-        cap_out = comp.slots[step.out_slot].value
-        if cap_out.ndim <= 1 or cap_out.flags["C_CONTIGUOUS"]:
-            for idx in inplace:
-                slot = step.in_slots[idx]
-                storage_index = comp.slot_storage.get(slot)
-                if storage_index is None:
-                    continue
-                storage = comp.storages[storage_index]
-                buffer = comp.buffers[slot]
-                if (storage.arena and storage.last == comp.index
-                        and buffer.shape == shape and buffer.dtype == dtype
-                        and buffer.flags["C_CONTIGUOUS"]):
-                    storage.last = max(storage.last, comp.slot_last_of(step.out_slot))
-                    comp.bind_out(step.out_slot, buffer, storage_index)
-                    comp.plan.fused_steps += 1
-                    self._out_assigned = True
-                    return buffer, idx
-        buffer, storage_index = comp.alloc_buffer(
-            shape, dtype, last=comp.slot_last_of(step.out_slot), like=cap_out)
-        comp.bind_out(step.out_slot, buffer, storage_index)
-        self._out_assigned = True
-        return buffer, None
-
-    def out_view(self, array: np.ndarray, base: int = 0) -> None:
-        """Register the output as a compile-time view of input ``base``."""
-        comp, step = self._compiler, self._step
-        base_slot = step.in_slots[base]
-        storage_index = comp.slot_storage.get(base_slot)
-        if storage_index is None:
-            # view of a constant with a dynamic sibling cannot happen
-            # (such steps fold); guard anyway.
-            self.fail("view of a non-arena buffer")
-        storage = comp.storages[storage_index]
-        storage.last = max(storage.last, comp.slot_last_of(step.out_slot))
-        comp.bind_out(step.out_slot, array, storage_index)
-        self._out_assigned = True
-
-    def scratch(self, shape, dtype) -> np.ndarray:
-        """A per-step scratch buffer, recycled immediately after this step."""
-        buffer, _ = self._compiler.alloc_buffer(shape, np.dtype(dtype),
-                                                last=self._compiler.index)
-        return buffer
-
-    def alloc_for_out(self, shape, dtype) -> np.ndarray:
-        """A backing buffer (shaped unlike the output value) that must
-        live as long as the output; bind the output to a view of it with
-        :meth:`bind_output`.  Used when the tape op's result is itself a
-        strided view into a larger work array (e.g. the transposed
-        convolution's cropped scatter buffer)."""
-        comp, step = self._compiler, self._step
-        buffer, storage_index = comp.alloc_buffer(
-            shape, np.dtype(dtype), last=comp.slot_last_of(step.out_slot))
-        self._pending_storage = storage_index
-        return buffer
-
-    def bind_output(self, array: np.ndarray) -> None:
-        comp, step = self._compiler, self._step
-        comp.bind_out(step.out_slot, array, self._pending_storage)
-        self._out_assigned = True
-
-    def emit(self, fn) -> None:
-        self._compiler.program.append(fn)
+def _copy_result(fn, operands, params, out) -> None:
+    """Replay form of a kernel whose ``out=`` path is not bitwise."""
+    np.copyto(out, fn(*operands, **params))
 
 
 class _Compiler:
@@ -404,524 +349,117 @@ class _Compiler:
         self.buffers[slot] = buffer
         self.slot_storage[slot] = storage_index
 
+    def alloc_out(self, step: _Step, inplace: tuple[int, ...]) -> np.ndarray:
+        """Allocate the step's output buffer, fusing in place onto a dying
+        input when the kernel declared that input alias-safe."""
+        cap_out = self.slots[step.out_slot].value
+        shape, dtype = cap_out.shape, cap_out.dtype
+        if cap_out.ndim <= 1 or cap_out.flags["C_CONTIGUOUS"]:
+            for idx in inplace:
+                slot = step.in_slots[idx]
+                storage_index = self.slot_storage.get(slot)
+                if storage_index is None:
+                    continue
+                storage = self.storages[storage_index]
+                buffer = self.buffers[slot]
+                if (storage.arena and storage.last == self.index
+                        and buffer.shape == shape and buffer.dtype == dtype
+                        and buffer.flags["C_CONTIGUOUS"]):
+                    storage.last = max(storage.last, self.slot_last_of(step.out_slot))
+                    self.bind_out(step.out_slot, buffer, storage_index)
+                    self.plan.fused_steps += 1
+                    return buffer
+        buffer, storage_index = self.alloc_buffer(
+            shape, dtype, last=self.slot_last_of(step.out_slot), like=cap_out)
+        self.bind_out(step.out_slot, buffer, storage_index)
+        return buffer
+
+    def bind_view(self, step: _Step, array: np.ndarray) -> None:
+        """Bind the output to a compile-time view of input 0's buffer."""
+        storage_index = self.slot_storage.get(step.in_slots[0])
+        if storage_index is None:
+            # a view of a constant with a dynamic sibling cannot happen
+            # (such steps fold); guard anyway.
+            raise PlanCaptureError(f"op {step.op!r}: view of a non-arena buffer")
+        storage = self.storages[storage_index]
+        storage.last = max(storage.last, self.slot_last_of(step.out_slot))
+        self.bind_out(step.out_slot, array, storage_index)
+
+    def bind_work_view(self, step: _Step, kernel: _Kernel, captured) -> np.ndarray:
+        """Bind an output the tape returned as a strided view into a larger
+        work array (the transposed convolution's cropped scatter buffer).
+
+        The arena replicates the work array and the kernel is called once
+        on the capture-time values with ``out=`` set to it; the view it
+        returns becomes the output, provided it has the tape's strides
+        (BLAS consumers dispatch on strides).  Returns the work buffer.
+        """
+        cap_out = self.slots[step.out_slot].value
+        base = cap_out.base
+        if base is None:
+            raise PlanCaptureError(
+                f"op {step.op!r}: cannot replicate output layout "
+                f"{cap_out.strides} for shape {cap_out.shape}")
+        work, storage_index = self.alloc_buffer(
+            base.shape, base.dtype, last=self.slot_last_of(step.out_slot), like=base)
+        try:
+            view = kernel.fn(*captured, out=work, **step.params)
+        except (TypeError, ValueError) as error:
+            raise PlanCaptureError(f"op {step.op!r}: {error}") from error
+        if (not isinstance(view, np.ndarray) or not np.shares_memory(view, work)
+                or view.shape != cap_out.shape or view.strides != cap_out.strides):
+            raise PlanCaptureError(
+                f"op {step.op!r}: could not replicate the tape's strided-view output")
+        self.bind_out(step.out_slot, view, storage_index)
+        return work
+
+    def bind(self, step: _Step) -> None:
+        """Resolve one step: a compile-time view, or one replay call
+        ``kernel(*buffers, out=buffer, **params)`` (for a kernel with a
+        ``bind`` form, the function its binding returned)."""
+        kernel = _KERNELS[step.op]
+        params = step.params
+        operands = [self.buffers[slot] for slot in step.in_slots]
+        captured = [self.slots[slot].value for slot in step.in_slots]
+        if kernel.view:
+            result = kernel.fn(*operands, **params)
+            if isinstance(result, np.ndarray) and (
+                    result.size == 0 or np.shares_memory(result, operands[0])):
+                self.bind_view(step, result)
+                return
+        cap_out = self.slots[step.out_slot].value
+        if cap_out.ndim > 1 and _layout_permutation(cap_out) is None:
+            out = self.bind_work_view(step, kernel, captured)
+        else:
+            out = self.alloc_out(step, kernel.inplace)
+        if kernel.view:
+            # numpy copied where the op is usually a view (a strided
+            # reshape); that needs an out= form (advanced indexing has none)
+            try:
+                kernel.fn(*captured, out=out, **params)
+            except TypeError as error:
+                raise PlanCaptureError(
+                    f"op {step.op!r} copied instead of viewing and has no "
+                    f"out= form ({error})") from error
+        if kernel.bind is not None:
+            self.program.append(kernel.bind(*operands, out=out, **params))
+        elif kernel.blas and not _out_form_is_bitwise(
+                kernel.fn, captured, params, out.shape, out.dtype):
+            self.program.append(functools.partial(_copy_result, kernel.fn,
+                                                  operands, params, out))
+        else:
+            self.program.append(functools.partial(kernel.fn, *operands,
+                                                  out=out, **params))
+
     def run(self) -> None:
         for i, step in enumerate(self.steps):
             self.index = i
-            builder = _KERNELS.get(step.op)
-            if builder is None:
-                raise PlanCaptureError(f"no plan kernel registered for op {step.op!r}")
-            ctx = _Ctx(self, step)
-            builder(ctx)
-            if not ctx._out_assigned:
-                raise PlanCaptureError(f"kernel for {step.op!r} did not bind an output")
+            self.bind(step)
             # recycle every storage whose last consumer just ran
             for storage in self.storages:
                 if storage.last == i and storage.arena and storage.block is not None:
                     self._free.setdefault(storage.block.nbytes, []).append(storage.block)
                     storage.block = None
-
-
-# ----------------------------------------------------------------------
-# Kernel builders — each replicates its tape op's exact numpy expression
-# (same ufuncs, operand order and layouts) so replays stay bitwise
-# identical; only result placement changes (``out=`` into the arena).
-# ----------------------------------------------------------------------
-def _register_binary_ufunc(name: str, ufunc):
-    @register_kernel(name)
-    def _build(ctx, ufunc=ufunc):
-        a, b = ctx.inp(0), ctx.inp(1)
-        out, _ = ctx.alloc_out(inplace=(0, 1))
-        ctx.emit(lambda a=a, b=b, out=out: ufunc(a, b, out=out))
-
-
-def _register_unary_ufunc(name: str, ufunc):
-    @register_kernel(name)
-    def _build(ctx, ufunc=ufunc):
-        x = ctx.inp(0)
-        out, _ = ctx.alloc_out(inplace=(0,))
-        ctx.emit(lambda x=x, out=out: ufunc(x, out=out))
-
-
-_register_binary_ufunc("add", np.add)
-_register_binary_ufunc("sub", np.subtract)
-_register_binary_ufunc("mul", np.multiply)
-_register_binary_ufunc("div", np.divide)
-_register_unary_ufunc("neg", np.negative)
-_register_unary_ufunc("exp", np.exp)
-_register_unary_ufunc("log", np.log)
-_register_unary_ufunc("sqrt", np.sqrt)
-_register_unary_ufunc("tanh", np.tanh)
-_register_unary_ufunc("abs", np.abs)
-
-
-@register_kernel("pow")
-def _build_pow(ctx):
-    x = ctx.inp(0)
-    exponent = ctx.params["exponent"]
-    out, _ = ctx.alloc_out(inplace=(0,))
-    ctx.emit(lambda x=x, e=exponent, out=out: np.power(x, e, out=out))
-
-
-@register_kernel("clip")
-def _build_clip(ctx):
-    x = ctx.inp(0)
-    low, high = ctx.params["low"], ctx.params["high"]
-    out, _ = ctx.alloc_out(inplace=(0,))
-    ctx.emit(lambda x=x, low=low, high=high, out=out: np.clip(x, low, high, out=out))
-
-
-def _emit_select(ctx, out, fused, mask_fn, a, b):
-    """Shared tail of where/maximum/minimum: ``np.where(mask, a, b)``
-    semantics via masked copies.  ``mask_fn`` fills a boolean scratch each
-    replay (or is a baked constant mask for static conditions)."""
-    shape = ctx.out_shape
-    a_b = np.broadcast_to(a, shape)
-    b_b = np.broadcast_to(b, shape)
-    if callable(mask_fn):
-        mask = ctx.scratch(shape, np.bool_)
-        ctx.emit(lambda mask=mask, fn=mask_fn: fn(mask))
-    else:
-        mask = np.broadcast_to(mask_fn, shape)
-    if fused == 0:
-        # out already holds a: overwrite only where the mask picks b
-        if callable(mask_fn):
-            def _inv(out=out, b_b=b_b, mask=mask):
-                np.logical_not(mask, out=mask)
-                np.copyto(out, b_b, where=mask)
-            ctx.emit(_inv)
-        else:
-            inv = ~mask
-            ctx.emit(lambda out=out, b_b=b_b, inv=inv: np.copyto(out, b_b, where=inv))
-    elif fused == 1:
-        ctx.emit(lambda out=out, a_b=a_b, mask=mask: np.copyto(out, a_b, where=mask))
-    else:
-        def _select(out=out, a_b=a_b, b_b=b_b, mask=mask):
-            np.copyto(out, b_b)
-            np.copyto(out, a_b, where=mask)
-        ctx.emit(_select)
-
-
-@register_kernel("maximum")
-def _build_maximum(ctx):
-    a, b = ctx.inp(0), ctx.inp(1)
-    out, fused = ctx.alloc_out(inplace=(0, 1))
-    _emit_select(ctx, out, fused,
-                 lambda mask, a=a, b=b: np.greater_equal(a, b, out=mask), a, b)
-
-
-@register_kernel("minimum")
-def _build_minimum(ctx):
-    a, b = ctx.inp(0), ctx.inp(1)
-    out, fused = ctx.alloc_out(inplace=(0, 1))
-    _emit_select(ctx, out, fused,
-                 lambda mask, a=a, b=b: np.less_equal(a, b, out=mask), a, b)
-
-
-@register_kernel("where")
-def _build_where(ctx):
-    condition = ctx.params["cond"]
-    if isinstance(condition, Tensor):
-        ctx.fail("condition is a traced tensor (data-dependent selection); "
-                 "plans only support static conditions")
-    cond = np.asarray(condition, dtype=bool)
-    a, b = ctx.inp(0), ctx.inp(1)
-    out, fused = ctx.alloc_out(inplace=(0, 1))
-    _emit_select(ctx, out, fused, cond, a, b)
-
-
-@register_kernel("sigmoid")
-def _build_sigmoid(ctx):
-    x = ctx.inp(0)
-    mask = ctx.scratch(ctx.out_shape, np.bool_)
-    e = ctx.scratch(ctx.out_shape, ctx.out_dtype)
-    denom = ctx.scratch(ctx.out_shape, ctx.out_dtype)
-    out, _ = ctx.alloc_out(inplace=(0,))
-
-    def _sigmoid(x=x, mask=mask, e=e, denom=denom, out=out):
-        np.greater_equal(x, 0, out=mask)
-        np.abs(x, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.add(1.0, e, out=denom)
-        np.divide(e, denom, out=out)        # negative branch e/(1+e)
-        np.divide(1.0, denom, out=denom)    # positive branch 1/(1+e)
-        np.copyto(out, denom, where=mask)
-
-    ctx.emit(_sigmoid)
-
-
-@register_kernel("softplus")
-def _build_softplus(ctx):
-    x = ctx.inp(0)
-    tail = ctx.scratch(ctx.out_shape, ctx.out_dtype)
-    out, _ = ctx.alloc_out(inplace=(0,))
-
-    def _softplus(x=x, tail=tail, out=out):
-        np.abs(x, out=tail)
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        np.maximum(x, 0.0, out=out)
-        np.add(out, tail, out=out)
-
-    ctx.emit(_softplus)
-
-
-@register_kernel("leaky_relu")
-def _build_leaky_relu(ctx):
-    x = ctx.inp(0)
-    slope = ctx.params["negative_slope"]
-    mask = ctx.scratch(ctx.out_shape, np.bool_)
-    scale = ctx.scratch(ctx.out_shape, ctx.out_dtype)
-    out, _ = ctx.alloc_out(inplace=(0,))
-
-    def _leaky(x=x, slope=slope, mask=mask, scale=scale, out=out):
-        np.greater_equal(x, 0, out=mask)
-        scale.fill(slope)
-        np.copyto(scale, 1.0, where=mask)
-        np.multiply(x, scale, out=out)
-
-    ctx.emit(_leaky)
-
-
-@register_kernel("sum")
-def _build_sum(ctx):
-    x = ctx.inp(0)
-    axis, keepdims = ctx.params["axis"], ctx.params["keepdims"]
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda x=x, axis=axis, keepdims=keepdims, out=out:
-             np.sum(x, axis=axis, keepdims=keepdims, out=out))
-
-
-@register_kernel("mean")
-def _build_mean(ctx):
-    x = ctx.inp(0)
-    axis, keepdims = ctx.params["axis"], ctx.params["keepdims"]
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda x=x, axis=axis, keepdims=keepdims, out=out:
-             np.mean(x, axis=axis, keepdims=keepdims, out=out))
-
-
-@register_kernel("max")
-def _build_max(ctx):
-    x = ctx.inp(0)
-    axis, keepdims = ctx.params["axis"], ctx.params["keepdims"]
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda x=x, axis=axis, keepdims=keepdims, out=out:
-             np.max(x, axis=axis, keepdims=keepdims, out=out))
-
-
-@register_kernel("detached_max")
-def _build_detached_max(ctx):
-    x = ctx.inp(0)
-    axis = ctx.params["axis"]
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda x=x, axis=axis, out=out:
-             np.max(x, axis=axis, keepdims=True, out=out))
-
-
-def _out_form_is_bitwise(fn, cap_operands, shape, dtype) -> bool:
-    """Probe whether ``fn(..., out=)`` matches the allocating form bitwise
-    on the capture-time operands.  numpy's ``out=`` dispatch can take a
-    different accumulation path for some shapes (observed: stacked-gemm
-    ``matmul`` differs by 1 ulp), and which path is taken depends only on
-    shapes/layouts — which the arena buffers replicate — so a single
-    capture-time probe decides correctly for every replay."""
-    want = fn(*cap_operands)
-    probe = np.empty(shape, dtype=dtype)
-    fn(*cap_operands, out=probe)
-    return _bitwise_equal(np.asarray(want), probe)
-
-
-@register_kernel("matmul")
-def _build_matmul(ctx):
-    a, b = ctx.inp(0), ctx.inp(1)
-    out, _ = ctx.alloc_out()
-    if _out_form_is_bitwise(np.matmul, (ctx.cap(0), ctx.cap(1)),
-                            ctx.out_shape, ctx.out_dtype):
-        ctx.emit(lambda a=a, b=b, out=out: np.matmul(a, b, out=out))
-    else:
-        ctx.emit(lambda a=a, b=b, out=out: np.copyto(out, np.matmul(a, b)))
-
-
-@register_kernel("einsum")
-def _build_einsum(ctx):
-    subscripts = ctx.params["subscripts"]
-    operands = [ctx.inp(i) for i in range(ctx.n_inputs)]
-    cap_operands = [ctx.cap(i) for i in range(ctx.n_inputs)]
-    out, _ = ctx.alloc_out()
-    want = np.einsum(subscripts, *cap_operands)
-    probe = np.empty(ctx.out_shape, dtype=ctx.out_dtype)
-    np.einsum(subscripts, *cap_operands, out=probe)
-    if _bitwise_equal(np.asarray(want), probe):
-        ctx.emit(lambda subscripts=subscripts, operands=operands, out=out:
-                 np.einsum(subscripts, *operands, out=out))
-    else:
-        ctx.emit(lambda subscripts=subscripts, operands=operands, out=out:
-                 np.copyto(out, np.einsum(subscripts, *operands)))
-
-
-@register_kernel("copy")
-def _build_copy(ctx):
-    x = ctx.inp(0)
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda x=x, out=out: np.copyto(out, x))
-
-
-# -- shape ops: compile-time views where numpy gives a view, arena
-#    copies (no replay allocation) where numpy would copy --------------
-@register_kernel("reshape")
-def _build_reshape(ctx):
-    x = ctx.inp(0)
-    shape = tuple(ctx.params["shape"])
-    candidate = x.reshape(shape)
-    if x.size == 0 or np.shares_memory(candidate, x):
-        ctx.out_view(candidate)
-        return
-    # strided source: reshape copies on the tape; copy into the arena
-    # through a view of the output laid out in the source's shape.
-    out, _ = ctx.alloc_out()
-    dst = out.reshape(x.shape)
-    ctx.emit(lambda dst=dst, x=x: np.copyto(dst, x))
-
-
-@register_kernel("transpose")
-def _build_transpose(ctx):
-    ctx.out_view(np.transpose(ctx.inp(0), ctx.params["axes"]))
-
-
-@register_kernel("swapaxes")
-def _build_swapaxes(ctx):
-    ctx.out_view(np.swapaxes(ctx.inp(0), ctx.params["axis1"], ctx.params["axis2"]))
-
-
-@register_kernel("moveaxis")
-def _build_moveaxis(ctx):
-    ctx.out_view(np.moveaxis(ctx.inp(0), ctx.params["source"], ctx.params["destination"]))
-
-
-@register_kernel("flip")
-def _build_flip(ctx):
-    ctx.out_view(np.flip(ctx.inp(0), axis=ctx.params["axis"]))
-
-
-def _is_basic_index(index) -> bool:
-    items = index if isinstance(index, tuple) else (index,)
-    return all(isinstance(item, (int, np.integer, slice, type(Ellipsis), type(None)))
-               for item in items)
-
-
-@register_kernel("getitem")
-def _build_getitem(ctx):
-    index = ctx.params["index"]
-    if not _is_basic_index(index):
-        ctx.fail("advanced indexing (array/boolean index) is not capturable")
-    ctx.out_view(ctx.inp(0)[index])
-
-
-@register_kernel("broadcast_to")
-def _build_broadcast_to(ctx):
-    src = np.broadcast_to(ctx.inp(0), tuple(ctx.params["shape"]))
-    out, _ = ctx.alloc_out()
-    ctx.emit(lambda out=out, src=src: np.copyto(out, src))
-
-
-@register_kernel("repeat_interleave")
-def _build_repeat_interleave(ctx):
-    x = ctx.inp(0)
-    repeats = ctx.params["repeats"]
-    axis = ctx.params["axis"] % x.ndim
-    out, _ = ctx.alloc_out()
-    dst = out.reshape(x.shape[:axis + 1] + (repeats,) + x.shape[axis + 1:])
-    src = np.expand_dims(x, axis + 1)
-    ctx.emit(lambda dst=dst, src=src: np.copyto(dst, src))
-
-
-@register_kernel("pad")
-def _build_pad(ctx):
-    x = ctx.inp(0)
-    pad_width = ctx.params["pad_width"]
-    value = ctx.params["constant_value"]
-    out, _ = ctx.alloc_out()
-    interior = out[tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, x.shape))]
-
-    def _pad(out=out, interior=interior, x=x, value=value):
-        out.fill(value)
-        np.copyto(interior, x)
-
-    ctx.emit(_pad)
-
-
-@register_kernel("concatenate")
-def _build_concatenate(ctx):
-    axis = ctx.params["axis"] % len(ctx.out_shape)
-    out, _ = ctx.alloc_out()
-    pairs = []
-    offset = 0
-    for i in range(ctx.n_inputs):
-        src = ctx.inp(i)
-        size = src.shape[axis]
-        slicer = [slice(None)] * out.ndim
-        slicer[axis] = slice(offset, offset + size)
-        pairs.append((out[tuple(slicer)], src))
-        offset += size
-
-    def _concat(pairs=pairs):
-        for dst, src in pairs:
-            np.copyto(dst, src)
-
-    ctx.emit(_concat)
-
-
-@register_kernel("stack")
-def _build_stack(ctx):
-    axis = ctx.params["axis"] % len(ctx.out_shape)
-    out, _ = ctx.alloc_out()
-    pairs = []
-    for i in range(ctx.n_inputs):
-        slicer = [slice(None)] * out.ndim
-        slicer[axis] = i
-        pairs.append((out[tuple(slicer)], ctx.inp(i)))
-
-    def _stack(pairs=pairs):
-        for dst, src in pairs:
-            np.copyto(dst, src)
-
-    ctx.emit(_stack)
-
-
-# -- convolutions: the tape's offset-loop einsums with every view and
-#    scratch preallocated; accumulation order is unchanged -------------
-def _triple(value) -> tuple[int, int, int]:
-    if isinstance(value, (tuple, list)):
-        return tuple(int(v) for v in value)
-    return (int(value),) * 3
-
-
-@register_kernel("conv3d")
-def _build_conv3d(ctx):
-    stride = _triple(ctx.params["stride"])
-    padding = _triple(ctx.params["padding"])
-    groups = ctx.params["groups"]
-    x = ctx.contiguous_inp(0)
-    w = ctx.contiguous_inp(1)
-    batch, cin = x.shape[:2]
-    cout, cg, kd, kh, kw = w.shape
-    out_sizes = ctx.out_shape[2:]
-    voxels = int(np.prod(out_sizes))
-    if any(padding):
-        padded = tuple(x.shape[2 + i] + 2 * padding[i] for i in range(3))
-        xp = ctx.scratch((batch, cin) + padded, x.dtype)
-        interior = xp[(slice(None), slice(None))
-                      + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))]
-
-        def _fill(xp=xp, interior=interior, x=x):
-            xp.fill(0.0)
-            np.copyto(interior, x)
-
-        ctx.emit(_fill)
-    else:
-        xp = x
-    xg = xp.reshape(batch, groups, cin // groups, *xp.shape[2:])
-    wg = w.reshape(groups, cout // groups, cg, kd, kh, kw)
-    out, _ = ctx.alloc_out()
-    out4 = out.reshape(batch, groups, cout // groups, voxels)
-    accum = ctx.scratch(out4.shape, x.dtype)
-    patch_buf = ctx.scratch((batch, groups, cg, voxels), x.dtype)
-    patch6 = patch_buf.reshape((batch, groups, cg) + tuple(out_sizes))
-    taps = []
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_sizes))
-        patch = xg[(slice(None), slice(None), slice(None)) + sl]
-        flat = patch.reshape(batch, groups, cg, voxels) \
-            if np.shares_memory(patch.reshape(batch, groups, cg, voxels), xg) else None
-        taps.append((patch, flat, wg[:, :, :, offset[0], offset[1], offset[2]]))
-    rng = np.random.default_rng(0)
-    probe_patch = rng.random((batch, groups, cg, voxels)).astype(x.dtype, copy=False)
-    matmul_out = _out_form_is_bitwise(np.matmul, (taps[0][2], probe_patch),
-                                      out4.shape, accum.dtype)
-
-    def _conv(out4=out4, accum=accum, patch_buf=patch_buf, patch6=patch6,
-              taps=taps, matmul_out=matmul_out):
-        out4.fill(0.0)
-        for patch, flat, w_off in taps:
-            if flat is None:
-                np.copyto(patch6, patch)
-                flat = patch_buf
-            if matmul_out:
-                np.matmul(w_off, flat, out=accum)
-            else:
-                np.copyto(accum, np.matmul(w_off, flat))
-            np.add(out4, accum, out=out4)
-
-    ctx.emit(_conv)
-
-
-@register_kernel("conv_transpose3d")
-def _build_conv_transpose3d(ctx):
-    stride = _triple(ctx.params["stride"])
-    padding = _triple(ctx.params["padding"])
-    output_padding = _triple(ctx.params["output_padding"])
-    groups = ctx.params["groups"]
-    x = ctx.contiguous_inp(0)
-    w = ctx.contiguous_inp(1)
-    batch, cin = x.shape[:2]
-    _, og, kd, kh, kw = w.shape
-    in_sizes = x.shape[2:]
-    full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i]
-        for i in range(3))
-    xg = x.reshape(batch, groups, cin // groups, *in_sizes)
-    voxels = int(np.prod(in_sizes))
-    xm = xg.reshape(batch, groups, cin // groups, voxels)
-    if not np.shares_memory(xm, x):
-        ctx.fail("input could not be viewed in matmul layout")
-    wg = w.reshape(groups, cin // groups, og, kd, kh, kw)
-    cap_out = ctx._compiler.slots[ctx._step.out_slot].value
-    if cap_out.flags["C_CONTIGUOUS"]:
-        full = ctx.scratch((batch, groups, og) + full_sizes, x.dtype)
-    else:
-        # the tape's reshape of the cropped scatter buffer was a view, so
-        # the plan's output must be the same strided view (BLAS consumers
-        # dispatch on strides); the full buffer becomes the output storage
-        full = ctx.alloc_for_out((batch, groups, og) + full_sizes, x.dtype)
-    accum = ctx.scratch((batch, groups, og, voxels), x.dtype)
-    accum6 = accum.reshape((batch, groups, og) + tuple(in_sizes))
-    taps = []
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, in_sizes))
-        target = full[(slice(None), slice(None), slice(None)) + sl]
-        w_off = np.swapaxes(wg[:, :, :, offset[0], offset[1], offset[2]], -1, -2)
-        taps.append((target, w_off))
-    pd, ph, pw = padding
-    crop = full[(slice(None), slice(None), slice(None),
-                 slice(pd, full_sizes[0] - pd), slice(ph, full_sizes[1] - ph),
-                 slice(pw, full_sizes[2] - pw))]
-    rng = np.random.default_rng(0)
-    probe_x = rng.random(xm.shape).astype(x.dtype, copy=False)
-    matmul_out = _out_form_is_bitwise(np.matmul, (taps[0][1], probe_x),
-                                      accum.shape, accum.dtype)
-
-    def _scatter(full=full, xm=xm, accum=accum, accum6=accum6, taps=taps,
-                 matmul_out=matmul_out):
-        full.fill(0.0)
-        for target, w_off in taps:
-            if matmul_out:
-                np.matmul(w_off, xm, out=accum)
-            else:
-                np.copyto(accum, np.matmul(w_off, xm))
-            np.add(target, accum6, out=target)
-
-    ctx.emit(_scatter)
-    if cap_out.flags["C_CONTIGUOUS"]:
-        out, _ = ctx.alloc_out()
-        dst = out.reshape(crop.shape)
-        ctx.emit(lambda dst=dst, crop=crop: np.copyto(dst, crop))
-    else:
-        view = crop.reshape(cap_out.shape)
-        if not np.shares_memory(view, full) or view.strides != cap_out.strides:
-            ctx.fail("could not replicate the tape's cropped-view layout")
-        ctx.bind_output(view)
 
 
 # ----------------------------------------------------------------------

@@ -210,9 +210,9 @@ class Tensor:
         """Return a constant deep copy of this tensor's data."""
         builder = getattr(_state, "plan_builder", None)
         if builder is not None:
-            return Tensor.from_op(self.data.copy(), [(self, lambda g: None)],
+            return Tensor.from_op(copy_kernel(self.data), [(self, lambda g: None)],
                                   op="copy", capture=("copy", {}))
-        return Tensor(self.data.copy())
+        return Tensor(copy_kernel(self.data))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -350,6 +350,14 @@ class Tensor:
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None
+
+
+def copy_kernel(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward kernel of :meth:`Tensor.copy` (a C-ordered copy)."""
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
 
 
 def ensure_tensor(value) -> Tensor:

@@ -157,6 +157,82 @@ class TestPredict:
         assert conn.getresponse().status == 404
 
 
+def post_body(connection, body):
+    connection.request("POST", "/v1/predict", body=body,
+                       headers={"Content-Type": "application/octet-stream"})
+    return connection.getresponse()
+
+
+class TestNpzPayloadVetting:
+    """The npz member header is checked before any array data inflates."""
+
+    def test_decompression_bomb_rejected_from_header(self, conn):
+        import tracemalloc
+
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, acid=np.zeros((256, 128, 64)))
+        body = buffer.getvalue()
+        assert len(body) < 32 * 1024  # 16 MiB of float64 zeros, deflated
+        tracemalloc.start()
+        try:
+            response = post_body(conn, body)
+            payload = json.loads(response.read())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert response.status == 400
+        assert "expected one clip" in payload["error"]
+        assert peak < 2 * 1024 * 1024
+        # the server is unharmed and answers the next request
+        assert post_npz(conn, np.random.default_rng(6).random(GRID.shape)).status == 200
+
+    def test_object_dtype_member_400(self, conn):
+        acid = np.empty(GRID.shape, dtype=object)
+        acid[...] = 1.0
+        buffer = io.BytesIO()
+        np.savez(buffer, acid=acid)
+        response = post_body(conn, buffer.getvalue())
+        assert response.status == 400
+        assert "dtype" in json.loads(response.read())["error"]
+
+    def test_unreadable_member_400(self, conn):
+        import zipfile
+
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("acid.npy", b"\x93NUMPY garbage")
+        # and a corrupted deflate stream inside a well-formed archive
+        corrupt = io.BytesIO()
+        np.savez_compressed(corrupt, acid=np.random.default_rng(8).random(GRID.shape))
+        corrupt = bytearray(corrupt.getvalue())
+        corrupt[80:90] = bytes(10)
+        for body in (buffer.getvalue(), bytes(corrupt)):
+            response = post_body(conn, body)
+            assert "npz" in json.loads(response.read())["error"]
+            assert response.status == 400
+        assert post_npz(conn, np.random.default_rng(9).random(GRID.shape)).status == 200
+
+    def test_missing_member_400(self, conn):
+        buffer = io.BytesIO()
+        np.savez(buffer, other=np.ones(GRID.shape))
+        response = post_body(conn, buffer.getvalue())
+        assert response.status == 400
+        assert "acid" in json.loads(response.read())["error"]
+
+    def test_valid_compressed_npz_decodes_exactly(self, server, conn):
+        _, served = server
+        acid = np.random.default_rng(7).random((1,) + GRID.shape)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, acid=acid)
+        response = post_body(conn, buffer.getvalue())
+        assert response.status == 200
+        with np.load(io.BytesIO(response.read())) as archive:
+            prediction = archive["prediction"]
+        with no_grad():
+            direct = served.model(Tensor(acid)).numpy()[0]
+        assert prediction.tobytes() == direct.tobytes()
+
+
 class TestIntrospection:
     def test_healthz(self, conn):
         conn.request("GET", "/healthz")

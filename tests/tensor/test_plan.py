@@ -183,3 +183,162 @@ class TestFullModelIdentity:
         assert stats["fused_steps"] > 0
         assert stats["arena_bytes"] > 0
         assert stats["replays"] >= 2  # the validation replays are counted
+
+
+# ----------------------------------------------------------------------
+# One plan == tape case per registered kernel
+# ----------------------------------------------------------------------
+from repro import tensor as T  # noqa: E402
+
+
+def _conv_weights():
+    return {
+        "w": Tensor(rng(40).standard_normal((4, 2, 3, 3, 3))),
+        "wt": Tensor(rng(41).standard_normal((2, 3, 3, 3, 3))),
+        "cond": rng(42).random((3, 4)) > 0.5,
+    }
+
+
+CONST = _conv_weights()
+
+
+def _lti_conv(t):
+    from repro.ssm.s4d import LTISSM
+
+    nn.init.seed(3)
+    return LTISSM(channels=4, state_dim=2, mode="conv")(t)
+
+
+def _scan(t):
+    from repro.ssm.scan import diagonal_scan
+
+    return diagonal_scan(t.sigmoid(), t * 0.5)
+
+
+#: kernel name -> (traced function, example input shape); every function
+#: stays finite on capture's standard-normal validation input
+KERNEL_CASES = {
+    "add": (lambda t: t + t * 2.0, (3, 4)),
+    "sub": (lambda t: t - (t * 0.5), (3, 4)),
+    "mul": (lambda t: t * t, (3, 4)),
+    "div": (lambda t: t / (t * t + 1.0), (3, 4)),
+    "neg": (lambda t: -(t * 2.0), (3, 4)),
+    "exp": (lambda t: (t * 2.0).exp(), (3, 4)),
+    "log": (lambda t: (t * t + 1.0).log(), (3, 4)),
+    "sqrt": (lambda t: (t * t + 1.0).sqrt(), (3, 4)),
+    "tanh": (lambda t: (t * 2.0).tanh(), (3, 4)),
+    "abs": (lambda t: (t - 0.5).abs(), (3, 4)),
+    "pow": (lambda t: (t * t + 1.0) ** -0.5, (3, 4)),
+    "clip": (lambda t: (t * 2.0).clip(0.3, 1.2), (3, 4)),
+    "sigmoid": (lambda t: (t * 4.0 - 2.0).sigmoid(), (3, 4)),
+    "softplus": (lambda t: F.softplus(t * 8.0 - 4.0), (3, 4)),
+    "leaky_relu": (lambda t: F.leaky_relu(t - 0.5, 0.1), (3, 4)),
+    "maximum": (lambda t: F.relu(t - 0.5), (3, 4)),
+    "minimum": (lambda t: T.minimum(t * 2.0, t.flip(1)), (3, 4)),
+    "where": (lambda t: where(CONST["cond"], t * 2.0, t), (3, 4)),
+    "sum": (lambda t: t.sum(axis=1, keepdims=True) + t, (3, 4)),
+    "mean": (lambda t: t.mean(axis=0), (3, 4)),
+    "max": (lambda t: t.max(axis=-1), (3, 4)),
+    "detached_max": (lambda t: F.softmax(t, axis=-1), (3, 4)),
+    "matmul": (lambda t: t @ t.transpose((1, 0)), (3, 4)),
+    "einsum": (lambda t: einsum("ij,kj->ik", t, t * 2.0), (3, 4)),
+    "copy": (lambda t: (t * 2.0).copy() + 1.0, (3, 4)),
+    "reshape": (lambda t: t.transpose((1, 0)).reshape(12) * 2.0, (3, 4)),
+    "transpose": (lambda t: t.transpose((1, 0)) @ t, (3, 4)),
+    "swapaxes": (lambda t: t.swapaxes(0, 1) * 2.0, (3, 4)),
+    "moveaxis": (lambda t: T.moveaxis(t, 0, 2) + 1.0, (2, 3, 4)),
+    "flip": (lambda t: t.flip(0) - t, (3, 4)),
+    "getitem": (lambda t: t[1:, ::2] * 2.0, (3, 4)),
+    "broadcast_to": (lambda t: T.broadcast_to(t, (2, 3, 4)) * 2.0, (3, 4)),
+    "repeat_interleave": (lambda t: T.repeat_interleave(t, 2, axis=1) + 1.0, (3, 4)),
+    "pad": (lambda t: T.pad(t, [(1, 0), (2, 1)], 0.5) * 2.0, (3, 4)),
+    "concatenate": (lambda t: T.concatenate([t, t * 2.0], axis=1), (3, 4)),
+    "stack": (lambda t: T.stack([t, t + 1.0], axis=0), (3, 4)),
+    "conv3d": (lambda t: T.conv3d(t, CONST["w"], stride=(1, 2, 2), padding=1, groups=2),
+               (1, 4, 3, 6, 6)),
+    "conv_transpose3d": (lambda t: T.conv_transpose3d(t, CONST["wt"], stride=(1, 2, 2),
+                                                    padding=1, output_padding=(0, 1, 1))
+                         * 2.0, (2, 2, 3, 4, 4)),
+    "diagonal_scan": (_scan, (2, 5, 3, 2)),
+    "lti_causal_conv": (_lti_conv, (1, 6, 4)),
+}
+
+
+def test_every_registered_kernel_has_a_plan_case():
+    from repro.tensor import plan
+
+    import repro.ssm  # noqa: F401  (registers the SSM kernels)
+
+    assert set(plan._KERNELS) == set(KERNEL_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_registered_kernel_plan_matches_tape(name, monkeypatch):
+    from repro.tensor import plan
+
+    import repro.ssm  # noqa: F401
+
+    fn, shape = KERNEL_CASES[name]
+    kernel = plan._KERNELS[name]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append("out" in kwargs)
+        return kernel.fn(*args, **kwargs)
+
+    def counted_bind(*args, **kwargs):
+        calls.append("out" in kwargs)
+        return kernel.bind(*args, **kwargs)
+
+    monkeypatch.setitem(plan._KERNELS, name, kernel._replace(
+        fn=counted, bind=kernel.bind and counted_bind))
+    example = rng(50).random(shape)
+    with no_grad():
+        compiled = capture(fn, example, label=name)
+        for seed in (51, 52):
+            x = rng(seed).random(shape)
+            expected = fn(Tensor(x)).numpy()
+            replayed = compiled.run(x)
+            assert replayed.dtype == expected.dtype
+            assert replayed.tobytes() == expected.tobytes()
+    # the case really compiles the kernel: a view op is resolved by one
+    # compile-time call, everything else (and a strided reshape's copy)
+    # replays it with out=
+    assert calls
+    if not kernel.view or name == "reshape":
+        assert True in calls
+
+
+def _minimum_onto_b(t):
+    a = t + 1.0          # still live after the select, so b's buffer is reused
+    return T.minimum(a, t * 2.0) * a
+
+
+@pytest.mark.parametrize("name,fn,operand", [
+    ("sigmoid", lambda t: (t * 4.0 - 2.0).sigmoid(), 0),
+    ("maximum", lambda t: F.relu(t * 2.0 - 1.0), 0),
+    ("minimum", _minimum_onto_b, 1),
+    ("where", lambda t: where(CONST["cond"], t * 2.0, t * 3.0), 0),
+], ids=["sigmoid", "maximum-a", "minimum-b", "where-a"])
+def test_multi_step_kernels_fuse_in_place_bitwise(name, fn, operand, monkeypatch):
+    """A multi-step kernel handed a dying input's own buffer as ``out``
+    must read everything it needs before overwriting it."""
+    from repro.tensor import plan
+
+    kernel = plan._KERNELS[name]
+    aliased = []
+
+    def spy(*args, out=None, **params):
+        if out is not None:
+            aliased.append([i for i, arg in enumerate(args) if arg is out])
+        return kernel.fn(*args, out=out, **params)
+
+    monkeypatch.setitem(plan._KERNELS, name, kernel._replace(fn=spy))
+    capture_and_check(fn, rng(53).random((3, 4)) * 2.0 - 1.0)
+    assert aliased and all(hit == [operand] for hit in aliased)
+
+
+def test_advanced_indexing_aborts_capture():
+    # an index array copies instead of viewing; getitem has no out= form
+    with no_grad(), pytest.raises(PlanCaptureError, match="getitem"):
+        capture(lambda t: t[np.array([2, 0])] * 2.0, rng(54).random((3, 4)))
